@@ -3,8 +3,8 @@
 //! take to simulate. Plain timing loops over `std::time::Instant` — run
 //! with `cargo bench --bench paper_figures`.
 //!
-//! The authoritative figure data comes from the `fig1..fig12` binaries at
-//! full scale; these benches exist to track the harness's own performance.
+//! The authoritative figure data comes from `gcl figures` at full scale;
+//! these benches exist to track the harness's own performance.
 
 use gcl_bench::figures;
 use gcl_bench::harness::{completed, run_all, run_one, Scale};

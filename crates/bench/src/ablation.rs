@@ -1,52 +1,64 @@
 //! Section X ablations: the paper *suggests* three microarchitectural
 //! responses to the deterministic/non-deterministic split but does not
 //! evaluate them. We implement and measure all three.
+//!
+//! Each ablation is a pure renderer over whole-suite sweeps: one
+//! [`BenchRun`] slice per configuration of [`configs`], baseline first.
+//! The baseline is the same `GpuConfig::fermi()` sweep every figure draws
+//! from, so it is simulated once for all of them.
 
-use crate::harness::{run_one, BenchResult, Scale};
+use crate::harness::{BenchResult, BenchRun};
 use gcl_mem::{AccessOutcome, ClassTag, L2Topology};
 use gcl_sim::{CtaSchedPolicy, GpuConfig, PrefetchFilter};
 use gcl_stats::{Cell, Table};
-use gcl_workloads::{all_workloads, tiny_workloads, Workload};
 
-fn workloads(scale: Scale) -> Vec<Box<dyn Workload>> {
-    match scale {
-        Scale::Full => all_workloads(),
-        Scale::Tiny => tiny_workloads(),
-    }
+/// Sub-warp chunk size of the warp-splitting ablation (A3).
+pub const WARP_SPLIT_CHUNK: usize = 4;
+
+/// The configurations ablation `id` compares, baseline first, in the
+/// argument order of its renderer; `None` if `id` is not an ablation.
+pub fn configs(id: &str) -> Option<Vec<GpuConfig>> {
+    let with = |edit: &dyn Fn(&mut GpuConfig)| {
+        let mut cfg = GpuConfig::fermi();
+        edit(&mut cfg);
+        cfg
+    };
+    let base = GpuConfig::fermi();
+    Some(match id {
+        "ablation_cta_sched" => vec![
+            base,
+            with(&|c| c.cta_sched = CtaSchedPolicy::Clustered { group: 2 }),
+        ],
+        "ablation_semiglobal_l2" => vec![
+            base,
+            with(&|c| c.l2_topology = L2Topology::Clustered { clusters: 2 }),
+        ],
+        "ablation_warp_split" => vec![base, with(&|c| c.warp_split_nd = Some(WARP_SPLIT_CHUNK))],
+        "ablation_prefetch" => [
+            PrefetchFilter::Off,
+            PrefetchFilter::DeterministicOnly,
+            PrefetchFilter::NonDeterministicOnly,
+            PrefetchFilter::All,
+        ]
+        .iter()
+        .map(|&filter| with(&|c| c.prefetch = filter))
+        .collect(),
+        _ => return None,
+    })
 }
 
-/// Evaluate `per_workload` for every benchmark on `jobs` worker threads and
-/// append the produced rows to `t` in Table I order (identical for any
-/// `jobs`). A workload whose closure returns `None` (a failed attempt,
-/// already warned about) is omitted; a panicking closure is isolated to its
-/// workload and reported as a warning.
-fn sweep_rows(
-    scale: Scale,
-    jobs: usize,
+/// Append one row per workload that completed in every sweep, in Table I
+/// order; a workload that failed under any configuration is omitted. The
+/// sweeps are parallel: entry `i` of each is the same workload.
+fn rows<const N: usize>(
     t: &mut Table,
-    per_workload: impl Fn(&dyn Workload) -> Option<Vec<Cell>> + Sync,
+    sweeps: [&[BenchRun]; N],
+    row: impl Fn([&BenchResult; N]) -> Vec<Cell>,
 ) {
-    let names: Vec<&'static str> = workloads(scale).iter().map(|w| w.name()).collect();
-    let rows = gcl_exec::parallel_map(jobs, workloads(scale), |w| per_workload(w.as_ref()));
-    for (name, row) in names.into_iter().zip(rows) {
-        match row {
-            Ok(Some(cells)) => {
-                t.row(cells);
-            }
-            Ok(None) => {}
-            Err(panic) => eprintln!("warning: ablation row for {name} panicked: {panic}"),
-        }
-    }
-}
-
-/// Run one configuration of one workload; on failure, warn and return
-/// `None` so the ablation table simply omits that row.
-fn attempt(w: &dyn Workload, cfg: &GpuConfig) -> Option<BenchResult> {
-    match run_one(w, cfg) {
-        Ok(r) => Some(r),
-        Err(e) => {
-            eprintln!("warning: ablation skipped {}: {e}", w.name());
-            None
+    for i in 0..sweeps[0].len() {
+        let results = sweeps.map(|s| s.get(i).and_then(BenchRun::result));
+        if results.iter().all(Option::is_some) {
+            t.row(row(results.map(|r| r.expect("checked just above"))));
         }
     }
 }
@@ -82,7 +94,7 @@ fn overall_l1_miss(r: &BenchResult) -> f64 {
 /// A1 (Section X-B): round-robin vs. clustered CTA scheduling. Neighboring
 /// CTAs share data (Figure 12); co-locating them on an SM should improve L1
 /// locality.
-pub fn cta_sched(scale: Scale, jobs: usize) -> Table {
+pub fn cta_sched(base: &[BenchRun], clustered: &[BenchRun]) -> Table {
     let mut t = Table::new(
         "Ablation A1 — CTA scheduling: round-robin vs clustered (group=2)",
         vec![
@@ -94,20 +106,15 @@ pub fn cta_sched(scale: Scale, jobs: usize) -> Table {
             "speedup",
         ],
     );
-    sweep_rows(scale, jobs, &mut t, |w| {
-        let base_cfg = GpuConfig::fermi();
-        let mut clustered_cfg = GpuConfig::fermi();
-        clustered_cfg.cta_sched = CtaSchedPolicy::Clustered { group: 2 };
-        let base = attempt(w, &base_cfg)?;
-        let clus = attempt(w, &clustered_cfg)?;
-        Some(vec![
-            w.name().into(),
-            Cell::Percent(overall_l1_miss(&base)),
-            Cell::Percent(overall_l1_miss(&clus)),
+    rows(&mut t, [base, clustered], |[base, clus]| {
+        vec![
+            base.name.into(),
+            Cell::Percent(overall_l1_miss(base)),
+            Cell::Percent(overall_l1_miss(clus)),
             base.stats.cycles.into(),
             clus.stats.cycles.into(),
             (base.stats.cycles as f64 / clus.stats.cycles as f64).into(),
-        ])
+        ]
     });
     t
 }
@@ -115,7 +122,7 @@ pub fn cta_sched(scale: Scale, jobs: usize) -> Table {
 /// A2 (Section X-C): unified vs. semi-global (clustered) L2. Each cluster of
 /// SMs gets a private slice group; locality improves, aggregate capacity
 /// per SM shrinks.
-pub fn semiglobal_l2(scale: Scale, jobs: usize) -> Table {
+pub fn semiglobal_l2(base: &[BenchRun], semi: &[BenchRun]) -> Table {
     let mut t = Table::new(
         "Ablation A2 — L2 topology: unified vs semi-global (2 clusters)",
         vec![
@@ -127,44 +134,39 @@ pub fn semiglobal_l2(scale: Scale, jobs: usize) -> Table {
             "speedup",
         ],
     );
-    sweep_rows(scale, jobs, &mut t, |w| {
-        let base_cfg = GpuConfig::fermi();
-        let mut semi_cfg = GpuConfig::fermi();
-        semi_cfg.l2_topology = L2Topology::Clustered { clusters: 2 };
-        let base = attempt(w, &base_cfg)?;
-        let semi = attempt(w, &semi_cfg)?;
-        let l2_miss = |r: &BenchResult| {
-            let hits = r
-                .stats
+    let l2_miss = |r: &BenchResult| {
+        let hits = r
+            .stats
+            .l2
+            .outcome_class(AccessOutcome::Hit, ClassTag::Deterministic)
+            + r.stats
                 .l2
-                .outcome_class(AccessOutcome::Hit, ClassTag::Deterministic)
-                + r.stats
-                    .l2
-                    .outcome_class(AccessOutcome::Hit, ClassTag::NonDeterministic);
-            let total = r.stats.l2.accepted(ClassTag::Deterministic)
-                + r.stats.l2.accepted(ClassTag::NonDeterministic);
-            if total == 0 {
-                f64::NAN
-            } else {
-                1.0 - hits as f64 / total as f64
-            }
-        };
-        Some(vec![
-            w.name().into(),
-            Cell::Percent(l2_miss(&base)),
-            Cell::Percent(l2_miss(&semi)),
+                .outcome_class(AccessOutcome::Hit, ClassTag::NonDeterministic);
+        let total = r.stats.l2.accepted(ClassTag::Deterministic)
+            + r.stats.l2.accepted(ClassTag::NonDeterministic);
+        if total == 0 {
+            f64::NAN
+        } else {
+            1.0 - hits as f64 / total as f64
+        }
+    };
+    rows(&mut t, [base, semi], |[base, semi]| {
+        vec![
+            base.name.into(),
+            Cell::Percent(l2_miss(base)),
+            Cell::Percent(l2_miss(semi)),
             base.stats.dram_mean_latency().into(),
             semi.stats.dram_mean_latency().into(),
             (base.stats.cycles as f64 / semi.stats.cycles as f64).into(),
-        ])
+        ]
     });
     t
 }
 
 /// A3 (Section X-A): split non-deterministic loads into sub-warp request
-/// chunks to de-burst the L1. Measures reservation failures and the mean
-/// N-load turnaround.
-pub fn warp_split(scale: Scale, chunk: usize, jobs: usize) -> Table {
+/// chunks of `chunk` lanes to de-burst the L1. Measures reservation
+/// failures and the mean N-load turnaround.
+pub fn warp_split(base: &[BenchRun], split: &[BenchRun], chunk: usize) -> Table {
     let mut t = Table::new(
         format!("Ablation A3 — warp splitting of N loads (chunk={chunk})"),
         vec![
@@ -176,21 +178,16 @@ pub fn warp_split(scale: Scale, chunk: usize, jobs: usize) -> Table {
             "speedup",
         ],
     );
-    sweep_rows(scale, jobs, &mut t, |w| {
-        let base_cfg = GpuConfig::fermi();
-        let mut split_cfg = GpuConfig::fermi();
-        split_cfg.warp_split_nd = Some(chunk);
-        let base = attempt(w, &base_cfg)?;
-        let split = attempt(w, &split_cfg)?;
-        let nd = gcl_core::LoadClass::NonDeterministic;
-        Some(vec![
-            w.name().into(),
-            total_reservation_fails(&base).into(),
-            total_reservation_fails(&split).into(),
+    let nd = gcl_core::LoadClass::NonDeterministic;
+    rows(&mut t, [base, split], |[base, split]| {
+        vec![
+            base.name.into(),
+            total_reservation_fails(base).into(),
+            total_reservation_fails(split).into(),
             base.stats.class(nd).turnaround.mean().into(),
             split.stats.class(nd).turnaround.mean().into(),
             (base.stats.cycles as f64 / split.stats.cycles as f64).into(),
-        ])
+        ]
     });
     t
 }
@@ -200,7 +197,12 @@ pub fn warp_split(scale: Scale, chunk: usize, jobs: usize) -> Table {
 /// The paper argues prefetchers should be load-class aware; this compares
 /// no prefetch, prefetch-on-D-miss, prefetch-on-N-miss, and class-oblivious
 /// prefetch.
-pub fn prefetch(scale: Scale, jobs: usize) -> Table {
+pub fn prefetch(
+    off: &[BenchRun],
+    d_only: &[BenchRun],
+    n_only: &[BenchRun],
+    all: &[BenchRun],
+) -> Table {
     let mut t = Table::new(
         "Ablation A4 — class-selective next-line L1 prefetch",
         vec![
@@ -213,32 +215,16 @@ pub fn prefetch(scale: Scale, jobs: usize) -> Table {
             "prefetches (D-only)",
         ],
     );
-    sweep_rows(scale, jobs, &mut t, |w| {
-        let mut cycles = Vec::new();
-        let mut d_prefetches = 0;
-        for filter in [
-            PrefetchFilter::Off,
-            PrefetchFilter::DeterministicOnly,
-            PrefetchFilter::NonDeterministicOnly,
-            PrefetchFilter::All,
-        ] {
-            let mut cfg = GpuConfig::fermi();
-            cfg.prefetch = filter;
-            let r = attempt(w, &cfg)?;
-            if filter == PrefetchFilter::DeterministicOnly {
-                d_prefetches = r.stats.sm.prefetches_issued;
-            }
-            cycles.push(r.stats.cycles);
-        }
-        Some(vec![
-            w.name().into(),
-            cycles[0].into(),
-            cycles[1].into(),
-            cycles[2].into(),
-            cycles[3].into(),
-            (cycles[0] as f64 / cycles[1] as f64).into(),
-            d_prefetches.into(),
-        ])
+    rows(&mut t, [off, d_only, n_only, all], |[off, d, n, all]| {
+        vec![
+            off.name.into(),
+            off.stats.cycles.into(),
+            d.stats.cycles.into(),
+            n.stats.cycles.into(),
+            all.stats.cycles.into(),
+            (off.stats.cycles as f64 / d.stats.cycles as f64).into(),
+            d.stats.sm.prefetches_issued.into(),
+        ]
     });
     t
 }

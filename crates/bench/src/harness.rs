@@ -39,80 +39,6 @@ pub enum Scale {
     Tiny,
 }
 
-/// Parsed command line of a figure/ablation binary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchArgs {
-    /// Input-size selection (`--tiny`).
-    pub scale: Scale,
-    /// Optional positional workload name (only some binaries accept one).
-    pub workload: Option<String>,
-    /// Worker threads for the workload sweep (`--jobs N`, default 1).
-    pub jobs: usize,
-}
-
-impl BenchArgs {
-    /// Strictly parse the process arguments of an ablation/figure binary.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first unknown flag or stray positional argument.
-    pub fn from_env(allow_workload: bool) -> Result<BenchArgs, String> {
-        parse_scale_args(std::env::args().skip(1), allow_workload)
-    }
-}
-
-/// Strictly parse a figure-binary command line: `--tiny`, `--jobs N`, plus
-/// — only when `allow_workload` — one optional positional workload name.
-/// Unknown flags and unexpected positionals are errors, never silently
-/// ignored.
-///
-/// # Errors
-///
-/// Describes the offending argument and what the binary accepts.
-pub fn parse_scale_args(
-    args: impl Iterator<Item = String>,
-    allow_workload: bool,
-) -> Result<BenchArgs, String> {
-    let accepts = if allow_workload {
-        "--tiny, --jobs N, and one optional workload name"
-    } else {
-        "--tiny and --jobs N"
-    };
-    let mut scale = Scale::Full;
-    let mut workload = None;
-    let mut jobs = 1usize;
-    let mut args = args;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--tiny" => scale = Scale::Tiny,
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                jobs = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--jobs needs a positive integer, got `{v}`"))?;
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!(
-                    "unknown option `{flag}` (this binary accepts {accepts})"
-                ));
-            }
-            name if allow_workload && workload.is_none() => workload = Some(name.to_string()),
-            other => {
-                return Err(format!(
-                    "unexpected argument `{other}` (this binary accepts {accepts})"
-                ));
-            }
-        }
-    }
-    Ok(BenchArgs {
-        scale,
-        workload,
-        jobs,
-    })
-}
-
 /// The outcome of attempting one workload end to end: either its results or
 /// why it stopped (a rendered [`SimError`], or a panic message when the
 /// workload crashed outright — worker panics are isolated per workload).
@@ -161,21 +87,10 @@ pub fn run_all(cfg: &GpuConfig, scale: Scale, jobs: usize) -> Vec<BenchRun> {
         .collect()
 }
 
-/// Keep the completed results of a sweep, warning on stderr about each
-/// failed benchmark. Figures built from the survivors simply render the
-/// failed workloads as absent.
+/// Keep the completed results of a sweep, in Table I order. Figures built
+/// from the survivors simply render the failed workloads as absent.
 pub fn completed(runs: &[BenchRun]) -> Vec<BenchResult> {
-    let mut out = Vec::new();
-    for run in runs {
-        match &run.outcome {
-            Ok(r) => out.push(r.clone()),
-            Err(e) => eprintln!(
-                "warning: workload {} failed, omitted from figures: {e}",
-                run.name
-            ),
-        }
-    }
-    out
+    runs.iter().filter_map(|r| r.result().cloned()).collect()
 }
 
 /// Run a single workload on a fresh GPU with `cfg`.
@@ -205,71 +120,17 @@ pub fn run_one(w: &dyn Workload, cfg: &GpuConfig) -> Result<BenchResult, SimErro
     })
 }
 
-/// The benchmark names in Table I order.
-pub fn names(results: &[BenchResult]) -> Vec<&'static str> {
-    results.iter().map(|r| r.name).collect()
-}
-
-/// Write a JSON artifact under `results/` (best effort; prints the path).
-pub fn save_json(id: &str, json: &str) {
+/// Write a JSON artifact to `results/<id>.json` and note the path on
+/// stderr.
+///
+/// # Errors
+///
+/// Names the path that could not be created or written.
+pub fn save_json(id: &str, json: &str) -> Result<(), String> {
     let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{id}.json"));
-        if std::fs::write(&path, json).is_ok() {
-            eprintln!("(wrote {})", path.display());
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{parse_scale_args, BenchArgs, Scale};
-
-    fn args(list: &'static [&'static str]) -> impl Iterator<Item = String> {
-        list.iter().map(|s| s.to_string())
-    }
-
-    #[test]
-    fn tiny_flag_jobs_and_workload_parse() {
-        assert_eq!(
-            parse_scale_args(args(&[]), false).unwrap(),
-            BenchArgs {
-                scale: Scale::Full,
-                workload: None,
-                jobs: 1
-            }
-        );
-        assert_eq!(
-            parse_scale_args(args(&["--tiny", "--jobs", "4"]), false).unwrap(),
-            BenchArgs {
-                scale: Scale::Tiny,
-                workload: None,
-                jobs: 4
-            }
-        );
-        assert_eq!(
-            parse_scale_args(args(&["bfs", "--tiny"]), true).unwrap(),
-            BenchArgs {
-                scale: Scale::Tiny,
-                workload: Some("bfs".to_string()),
-                jobs: 1
-            }
-        );
-    }
-
-    /// Unknown flags, stray positionals and bad --jobs values are rejected,
-    /// not ignored.
-    #[test]
-    fn unknown_arguments_rejected() {
-        let err = parse_scale_args(args(&["--huge"]), false).unwrap_err();
-        assert!(err.contains("unknown option `--huge`"), "{err}");
-        let err = parse_scale_args(args(&["bfs"]), false).unwrap_err();
-        assert!(err.contains("unexpected argument `bfs`"), "{err}");
-        let err = parse_scale_args(args(&["bfs", "sssp"]), true).unwrap_err();
-        assert!(err.contains("unexpected argument `sssp`"), "{err}");
-        let err = parse_scale_args(args(&["--jobs", "0"]), false).unwrap_err();
-        assert!(err.contains("--jobs"), "{err}");
-        let err = parse_scale_args(args(&["--jobs"]), false).unwrap_err();
-        assert!(err.contains("--jobs needs a value"), "{err}");
-    }
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let path = dir.join(format!("{id}.json"));
+    std::fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("(wrote {})", path.display());
+    Ok(())
 }

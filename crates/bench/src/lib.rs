@@ -1,20 +1,20 @@
 //! # gcl-bench — harnesses regenerating the paper's evaluation
 //!
-//! One binary per table/figure of *"Revealing Critical Loads and Hidden
-//! Data Locality in GPGPU Applications"* (IISWC 2015), plus the Section X
-//! ablations:
+//! Every table and figure of *"Revealing Critical Loads and Hidden Data
+//! Locality in GPGPU Applications"* (IISWC 2015), plus the Section X
+//! ablations, comes out of one command:
 //!
 //! ```text
-//! cargo run --release -p gcl-bench --bin table1
-//! cargo run --release -p gcl-bench --bin fig1     # ... fig12
-//! cargo run --release -p gcl-bench --bin ablation_cta_sched
-//! cargo run --release -p gcl-bench --bin ablation_semiglobal_l2
-//! cargo run --release -p gcl-bench --bin ablation_warp_split
-//! cargo run --release -p gcl-bench --bin summary
+//! cargo run --release --bin gcl -- figures all            # every artifact
+//! cargo run --release --bin gcl -- figures fig6 table1    # just these
+//! cargo run --release --bin gcl -- figures critical_loads sssp --tiny
 //! ```
 //!
-//! Pass `--tiny` to any binary for a fast smoke run. Each binary prints its
-//! table and writes a JSON artifact under `results/`.
+//! [`driver::figures`] simulates each distinct configuration the requested
+//! artifacts need once ([`harness::run_all`]) and renders them all from
+//! those sweeps: [`figures`] and [`ablation`] are pure functions of the
+//! sweep results. Each artifact is printed and written as JSON under
+//! `results/`; `--tiny` runs the tiny inputs, `--jobs N` the worker count.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -129,6 +129,21 @@ fn fig6_and_fig7_find_the_synthetic_pc() {
     assert!((f7.series[1].values[3] - 3.0).abs() < 1e-9); // gap at L1D
 }
 
+/// Two N loads with the same sample count: the pick is the lower pc every
+/// time, never whichever the map iteration happened to yield last.
+#[test]
+fn busiest_pc_breaks_ties_on_lowest_pc() {
+    let mut r = fake_result("gamma", Category::Graph);
+    let (key, agg) = r.stats.per_pc[0].clone();
+    r.stats.per_pc.insert(0, (PcKey { pc: 12, ..key }, agg));
+    for _ in 0..32 {
+        assert_eq!(
+            figures::busiest_pc(&r, LoadClass::NonDeterministic),
+            Some(("gamma_kernel".to_string(), 7))
+        );
+    }
+}
+
 #[test]
 fn fig10_fig11_read_block_summary() {
     let f10 = figures::fig10(&fakes());

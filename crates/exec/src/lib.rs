@@ -21,8 +21,11 @@
 //!   filed under the same content address as cached results. `gcl suite
 //!   --replay` resolves each job to its trace by fingerprint and drives
 //!   the timing model from the recorded instruction streams instead of
-//!   functional execution — same digests, same statistics, a fraction of
-//!   the wall-clock. An absent or mismatched container is a structured
+//!   functional execution — same digests, same statistics. Replay is
+//!   faster than capture on the tiny suite only; at full scale the
+//!   memory-bound workloads replay no faster than they capture (perfbench's
+//!   per-job `trace.replay_over_capture.{2mm,spmv,mis}` is the full-scale
+//!   number). An absent or mismatched container is a structured
 //!   job failure, never a silent fallback to execution.
 //! * **Serving** ([`serve`], [`proto`], [`client`]): `gcl serve` wraps the
 //!   pool in a TCP daemon speaking newline-delimited JSON (submit / status

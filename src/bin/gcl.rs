@@ -20,6 +20,9 @@
 //!              [--resume] [--retries N] [--jobs N] [--no-cache]
 //!              [--replay] [--traces DIR]
 //!              [--fleet HOST:PORT]         run the 15-benchmark suite
+//! gcl figures  <ID...|all> [WORKLOAD] [--tiny] [--jobs N]
+//!                                          regenerate the paper's tables,
+//!                                          figures and ablations
 //! gcl serve    [--addr HOST:PORT] [--jobs N] [--queue-cap N] [--no-cache]
 //!              [--join HOST:PORT --name NAME --inject SPEC]
 //!                                          simulation daemon (NDJSON over TCP)
@@ -84,6 +87,7 @@ fn main() -> ExitCode {
         Some("disasm") => cmd_disasm(&args[1..]).map_err(fail),
         Some("run") => cmd_run(&args[1..]).map_err(fail),
         Some("suite") => cmd_suite(&args[1..]).map_err(fail),
+        Some("figures") => gcl_bench::driver::figures(&args[1..]).map_err(fail),
         Some("trace") => cmd_trace(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
@@ -123,6 +127,7 @@ USAGE:
                [--resume] [--retries N] [--jobs N] [--no-cache]
                [--replay] [--traces DIR]
                [--fleet HOST:PORT]
+  gcl figures  <ID...|all> [WORKLOAD] [--tiny] [--jobs N]
   gcl serve    [--addr HOST:PORT] [--jobs N] [--queue-cap N] [--no-cache]
                [--join HOST:PORT] [--name NAME] [--inject SPEC]
                [--connect-retries N] [--rejoin]
@@ -178,8 +183,9 @@ checksummed — to a GCLTRACE1 container under results/traces (or --out DIR),
 content-addressed by the same configuration + kernel + parameter
 fingerprint that keys the result cache. `replay` feeds those containers
 back through the timing model instead of functionally executing the
-workload: same per-launch event digests, cycle counts and statistics, at a
-fraction of the capture wall-clock; --verify re-runs each workload
+workload: same per-launch event digests, cycle counts and statistics
+(faster than capture on the tiny suite; at full scale the memory-bound
+workloads replay no faster than they capture); --verify re-runs each workload
 execution-driven and fails if replay and execution disagree anywhere.
 `replay` exits 2 when a container is missing or unreadable (truncated,
 corrupt, bad magic — recapture it) and 3 when a readable container does not
@@ -204,6 +210,15 @@ containers under results/traces (or --traces DIR) instead of functionally
 executing the workloads; a benchmark whose container is absent or
 mismatched fails structurally — replay never silently falls back to
 execution.
+`figures` regenerates the paper's evaluation: fig1..fig12, table1,
+critical_loads, summary and the four Section X ablations
+(ablation_cta_sched, ablation_semiglobal_l2, ablation_warp_split,
+ablation_prefetch), or `all` of them. It simulates each distinct GPU
+configuration the requested artifacts need once — `all` takes seven
+sweeps, the Fermi baseline shared by every figure and ablation — then
+prints every artifact and writes its JSON under results/. A workload name
+picks the critical_loads subject (default bfs). --tiny runs the tiny
+inputs; --jobs N fans each sweep out over N threads with identical output.
 `serve` runs the same job engine as a daemon: clients connect over TCP and
 speak newline-delimited JSON — {\"op\":\"submit\",\"workload\":\"bfs\",
 \"tiny\":true} to enqueue (rejected with an error when the bounded queue is
