@@ -4,17 +4,10 @@
 //! simulation's complete statistics are a pure function of the
 //! [`SpecFingerprint`](crate::SpecFingerprint): configuration fingerprint,
 //! kernel fingerprint, workload parameters, and format version. Entries
-//! live under `results/cache/<key>.bin` in a self-validating container
-//! mirroring the checkpoint format (`ckpt.rs`):
-//!
-//! ```text
-//! magic "GCLEXEC1"  (8 bytes)
-//! version           (u32 LE)
-//! cache key         (u64 LE)
-//! payload length    (u64 LE)
-//! payload           (fingerprint fields + wall_ms + wire-encoded stats)
-//! checksum          (u64 LE, FNV-1a over all preceding bytes)
-//! ```
+//! live under `results/cache/<key>.bin` in a single-payload
+//! [`gcl_mem::frame`] container: magic `GCLEXEC1`, [`CACHE_VERSION`], the
+//! cache key as the header tag, and a payload of the fingerprint fields,
+//! `wall_ms` and the wire-encoded stats, sealed with the whole-file FNV.
 //!
 //! Every rejection — absent, truncated, corrupt checksum, version skew,
 //! key or fingerprint mismatch, malformed payload — is a silent cache
@@ -24,9 +17,11 @@
 //! for tests and diagnostics.
 
 use crate::job::SpecFingerprint;
+use gcl_mem::frame::{self, FrameError};
 use gcl_mem::{Dec, Enc, WireError};
-use gcl_sim::{fnv_fold_bytes, LaunchStats, FNV_OFFSET};
+use gcl_sim::LaunchStats;
 use std::fmt;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Leading magic of every cache entry.
@@ -94,6 +89,19 @@ impl From<WireError> for CacheMiss {
     }
 }
 
+impl From<FrameError> for CacheMiss {
+    fn from(e: FrameError) -> CacheMiss {
+        use {CacheMiss as M, FrameError as F};
+        match e {
+            F::BadMagic => M::BadMagic,
+            F::Truncated => M::Truncated,
+            F::VersionMismatch { found, .. } => M::VersionSkew { found },
+            F::ChecksumMismatch | F::SectionChecksumMismatch => M::ChecksumMismatch,
+            F::Malformed(what) => M::Malformed(what),
+        }
+    }
+}
+
 /// A cached simulation result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedResult {
@@ -142,41 +150,9 @@ impl ResultCache {
     pub fn load_checked(&self, fp: &SpecFingerprint) -> Result<CachedResult, CacheMiss> {
         let key = fp.key();
         let bytes = std::fs::read(self.entry_path(key)).map_err(|_| CacheMiss::Absent)?;
-        const HEADER: usize = 8 + 4 + 8 + 8;
-        if bytes.len() < 8 {
-            return Err(CacheMiss::Truncated);
-        }
-        if bytes[..8] != CACHE_MAGIC {
-            return Err(CacheMiss::BadMagic);
-        }
-        if bytes.len() < HEADER + 8 {
-            return Err(CacheMiss::Truncated);
-        }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let stored_sum = u64::from_le_bytes(sum_bytes.try_into().expect("8-byte split"));
-        if fnv_fold_bytes(FNV_OFFSET, body) != stored_sum {
-            // Distinguish clean truncation from in-place corruption by the
-            // declared payload length, as the checkpoint container does.
-            let declared =
-                u64::from_le_bytes(bytes[20..28].try_into().expect("header slice")) as usize;
-            if body.len() - HEADER < declared {
-                return Err(CacheMiss::Truncated);
-            }
-            return Err(CacheMiss::ChecksumMismatch);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("header slice"));
-        if version != CACHE_VERSION {
-            return Err(CacheMiss::VersionSkew { found: version });
-        }
-        let stored_key = u64::from_le_bytes(bytes[12..20].try_into().expect("header slice"));
+        let (stored_key, payload) = frame::open_payload(&bytes, &CACHE_MAGIC, CACHE_VERSION)?;
         if stored_key != key {
             return Err(CacheMiss::KeyMismatch);
-        }
-        let payload_len =
-            u64::from_le_bytes(bytes[20..28].try_into().expect("header slice")) as usize;
-        let payload = &body[HEADER..];
-        if payload.len() != payload_len {
-            return Err(CacheMiss::Malformed("payload length mismatch"));
         }
         let mut d = Dec::new(payload);
         let stored_fp = SpecFingerprint {
@@ -201,9 +177,10 @@ impl ResultCache {
         self.load_checked(fp).ok()
     }
 
-    /// Store a fresh result under `fp`'s key, atomically (write-then-rename
-    /// in the cache directory, so a crash mid-store never leaves a torn
-    /// entry under the final name — it would be rejected anyway).
+    /// Store a fresh result under `fp`'s key, atomically
+    /// ([`frame::publish`], so a crash mid-store never leaves a torn entry
+    /// under the final name — it would be rejected anyway). No fsync: a
+    /// lost entry is only a future miss.
     ///
     /// # Errors
     ///
@@ -223,29 +200,11 @@ impl ResultCache {
         enc.u64(fp.kernels_fp);
         enc.f64(wall_ms);
         stats.ckpt_encode(&mut enc);
-        let payload = enc.into_bytes();
-        let mut out = Vec::with_capacity(payload.len() + 36);
-        out.extend_from_slice(&CACHE_MAGIC);
-        out.extend_from_slice(&CACHE_VERSION.to_le_bytes());
-        out.extend_from_slice(&key.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        let sum = fnv_fold_bytes(FNV_OFFSET, &out);
-        out.extend_from_slice(&sum.to_le_bytes());
-
+        let out = frame::seal_payload(&CACHE_MAGIC, CACHE_VERSION, key, &enc.into_bytes());
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| format!("cannot create {}: {e}", self.dir.display()))?;
         let path = self.entry_path(key);
-        // Unique temp name per writer: two workers storing the same key
-        // concurrently each rename a complete image, either of which is
-        // valid, instead of interleaving writes into one temp file.
-        static WRITER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = self.dir.join(format!(
-            "{key:016x}.tmp.{}.{}",
-            std::process::id(),
-            WRITER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, &out).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| format!("cannot rename {}: {e}", tmp.display()))
+        frame::publish(&path, |f| f.write_all(&out))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))
     }
 }

@@ -5,13 +5,10 @@
 //! session attach/detach, and replica-directory change, so a coordinator
 //! killed at an arbitrary instant can be restarted with `--recover` and
 //! resume the sweep with zero lost acknowledged jobs. The format reuses
-//! the checkpoint wire codec ([`gcl_mem::Enc`]/[`gcl_mem::Dec`]): the file
-//! opens with an 8-byte magic and a little-endian `u16` version, then
-//! carries records framed as
-//!
-//! ```text
-//! u64 payload-length | payload bytes | u64 FNV checksum over the payload
-//! ```
+//! the checkpoint wire codec ([`gcl_mem::Enc`]/[`gcl_mem::Dec`]) and the
+//! shared [`gcl_mem::frame`] pieces: the file opens with an 8-byte magic
+//! and a little-endian `u16` version, then carries one `len | payload |
+//! fnv` section per record.
 //!
 //! Appends are fsync-batched: the coordinator calls [`Journal::sync`] once
 //! per supervisor tick (and before acknowledging a submit), not per
@@ -23,10 +20,10 @@
 //! rewrites the journal as a single [`Record::Snapshot`] so it stays
 //! bounded no matter how long the fleet runs.
 
+use gcl_mem::frame::{self, FrameError};
 use gcl_mem::{Dec, Enc, WireError};
-use gcl_sim::{fnv_fold_bytes, FNV_OFFSET};
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The journal's opening magic: file format identity, checked verbatim.
@@ -36,7 +33,11 @@ pub const JOURNAL_MAGIC: &[u8; 8] = b"gcljrnl\n";
 pub const JOURNAL_VERSION: u16 = 1;
 
 /// Magic plus version: every journal starts with exactly these bytes.
-const HEADER_LEN: u64 = 10;
+const HEADER_LEN: usize = 10;
+
+fn header() -> Vec<u8> {
+    [&JOURNAL_MAGIC[..], &JOURNAL_VERSION.to_le_bytes()].concat()
+}
 
 /// Why a journal operation failed.
 #[derive(Debug)]
@@ -73,6 +74,22 @@ impl std::fmt::Display for JournalError {
 }
 
 impl std::error::Error for JournalError {}
+
+/// A rejected header makes the journal at `path` unrecoverable.
+impl From<(&Path, FrameError)> for JournalError {
+    fn from((path, e): (&Path, FrameError)) -> JournalError {
+        let reason = match e {
+            FrameError::VersionMismatch { found, expected } => {
+                format!("format version {found} (this build reads {expected})")
+            }
+            _ => "bad magic (not a gcl journal)".to_string(),
+        };
+        JournalError::Unrecoverable {
+            path: path.to_path_buf(),
+            reason,
+        }
+    }
+}
 
 /// A coordinator counter mirrored into the journal, so recovered `status`
 /// output (and the outcome table) carries on from the pre-crash totals.
@@ -789,34 +806,34 @@ impl Journal {
         }
     }
 
-    /// Create (or truncate) a fresh journal at `path` and write the header.
+    /// Atomically replace `path` with `bytes` (fsynced) and open it for
+    /// appends. Creating, recovering and compacting all end here.
+    fn publish(path: &Path, bytes: &[u8]) -> Result<Journal, JournalError> {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir).map_err(|e| Journal::io(path, e))?;
+        }
+        frame::publish(path, |f| {
+            f.write_all(bytes)?;
+            f.sync_data()
+        })
+        .and_then(|()| OpenOptions::new().append(true).open(path))
+        .map(|file| Journal {
+            path: path.to_path_buf(),
+            file,
+            len: bytes.len() as u64,
+            dirty: false,
+        })
+        .map_err(|e| Journal::io(path, e))
+    }
+
+    /// Create (or replace) a fresh journal at `path` holding only the
+    /// header.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] when the file cannot be created or written.
     pub fn create(path: &Path) -> Result<Journal, JournalError> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(|e| Journal::io(path, e))?;
-            }
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| Journal::io(path, e))?;
-        file.write_all(JOURNAL_MAGIC)
-            .and_then(|()| file.write_all(&JOURNAL_VERSION.to_le_bytes()))
-            .and_then(|()| file.sync_data())
-            .map_err(|e| Journal::io(path, e))?;
-        Ok(Journal {
-            path: path.to_path_buf(),
-            file,
-            len: HEADER_LEN,
-            dirty: false,
-        })
+        Journal::publish(path, &header())
     }
 
     /// Open `path` and replay it. A missing (or torn-header) file becomes
@@ -830,79 +847,36 @@ impl Journal {
     /// to something other than this format, [`JournalError::Io`]
     /// otherwise.
     pub fn open_recover(path: &Path) -> Result<(Journal, RecoveredState), JournalError> {
-        let bytes = match std::fs::read(path) {
+        let mut bytes = match std::fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(Journal::io(path, e)),
         };
-        if (bytes.len() as u64) < HEADER_LEN {
+        let version = JOURNAL_VERSION.to_le_bytes();
+        let torn_header = match frame::check_header(&bytes, JOURNAL_MAGIC, &version, HEADER_LEN) {
+            Ok(_) => false,
             // Missing file, or a crash beat the header write. Either way
-            // the only valid prefix is empty — unless the bytes already
-            // contradict the magic, in which case this is not our file.
-            if !JOURNAL_MAGIC.starts_with(&bytes[..bytes.len().min(8)]) {
-                return Err(JournalError::Unrecoverable {
-                    path: path.to_path_buf(),
-                    reason: "bad magic (not a gcl journal)".to_string(),
-                });
-            }
-            let journal = Journal::create(path)?;
-            return Ok((
-                journal,
-                RecoveredState {
-                    state: SnapState::default(),
-                    truncated: !bytes.is_empty(),
-                    records: 0,
-                },
-            ));
-        }
-        if &bytes[..8] != JOURNAL_MAGIC {
-            return Err(JournalError::Unrecoverable {
-                path: path.to_path_buf(),
-                reason: "bad magic (not a gcl journal)".to_string(),
-            });
-        }
-        let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-        if version != JOURNAL_VERSION {
-            return Err(JournalError::Unrecoverable {
-                path: path.to_path_buf(),
-                reason: format!("format version {version} (this build reads {JOURNAL_VERSION})"),
-            });
-        }
+            // the only valid prefix is empty: recover from a fresh header,
+            // reporting any torn bytes as truncated.
+            Err(FrameError::Truncated) => !std::mem::replace(&mut bytes, header()).is_empty(),
+            Err(e) => return Err(JournalError::from((path, e))),
+        };
+        let mut rest = &bytes[HEADER_LEN..];
         let mut state = SnapState::default();
-        let mut pos = HEADER_LEN as usize;
-        let mut valid = pos;
         let mut records = 0u64;
-        // A decode error (torn/corrupt tail) or clean EOF both end the
-        // valid prefix; the `while let` stops on either.
-        while let Some(Ok((rec, next))) = read_one(&bytes, pos) {
+        // A torn/corrupt tail or clean EOF both end the valid prefix.
+        while let Some((rec, tail)) = read_one(rest) {
             state.apply(rec);
             records += 1;
-            pos = next;
-            valid = next;
+            rest = tail;
         }
-        let truncated = valid as u64 != bytes.len() as u64;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(|e| Journal::io(path, e))?;
-        if truncated {
-            file.set_len(valid as u64)
-                .map_err(|e| Journal::io(path, e))?;
-            file.sync_data().map_err(|e| Journal::io(path, e))?;
-        }
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| Journal::io(path, e))?;
+        // Republishing the valid prefix drops a torn tail.
+        let journal = Journal::publish(path, &bytes[..bytes.len() - rest.len()])?;
         Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file,
-                len: valid as u64,
-                dirty: false,
-            },
+            journal,
             RecoveredState {
                 state,
-                truncated,
+                truncated: torn_header || !rest.is_empty(),
                 records,
             },
         ))
@@ -918,13 +892,10 @@ impl Journal {
     /// [`JournalError::Io`] when the write fails.
     pub fn append(&mut self, rec: &Record) -> Result<(), JournalError> {
         let payload = enc_record(rec);
-        let sum = fnv_fold_bytes(FNV_OFFSET, &payload);
+        // One write per record: a crash tears at most the last one.
         let mut framed = Vec::with_capacity(payload.len() + 16);
-        framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        framed.extend_from_slice(&sum.to_le_bytes());
-        self.file
-            .write_all(&framed)
+        frame::write_section(&mut framed, &payload)
+            .and_then(|()| self.file.write_all(&framed))
             .map_err(|e| Journal::io(&self.path, e))?;
         self.len += framed.len() as u64;
         self.dirty = true;
@@ -946,32 +917,18 @@ impl Journal {
         Ok(())
     }
 
-    /// Compact: rewrite the journal as header + one snapshot record, via a
-    /// temp file and an atomic rename so a crash mid-compaction leaves the
-    /// old journal intact.
+    /// Compact: rewrite the journal as header + one snapshot record,
+    /// fsynced and atomically published so a crash mid-compaction leaves
+    /// the old journal intact.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] when any step fails.
     pub fn compact(&mut self, snap: &SnapState) -> Result<(), JournalError> {
-        let tmp = self.path.with_extension("journal.tmp");
-        {
-            let mut replacement = Journal::create(&tmp)?;
-            replacement.append(&Record::Snapshot(snap.clone()))?;
-            replacement.sync()?;
-        }
-        std::fs::rename(&tmp, &self.path).map_err(|e| Journal::io(&self.path, e))?;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)
+        let mut bytes = header();
+        frame::write_section(&mut bytes, &enc_record(&Record::Snapshot(snap.clone())))
             .map_err(|e| Journal::io(&self.path, e))?;
-        let len = file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| Journal::io(&self.path, e))?;
-        self.file = file;
-        self.len = len;
-        self.dirty = false;
+        *self = Journal::publish(&self.path, &bytes)?;
         Ok(())
     }
 
@@ -986,39 +943,12 @@ impl Journal {
     }
 }
 
-/// Decode the record starting at `pos`. `None` is clean EOF; `Err(())` is
-/// a torn or corrupt tail (caller truncates here).
-#[allow(clippy::type_complexity)]
-fn read_one(bytes: &[u8], pos: usize) -> Option<Result<(Record, usize), ()>> {
-    if pos == bytes.len() {
-        return None;
-    }
-    let header_end = pos.checked_add(8)?;
-    if header_end > bytes.len() {
-        return Some(Err(()));
-    }
-    let len = u64::from_le_bytes(bytes[pos..header_end].try_into().unwrap());
-    let Ok(len) = usize::try_from(len) else {
-        return Some(Err(()));
-    };
-    let Some(payload_end) = header_end.checked_add(len) else {
-        return Some(Err(()));
-    };
-    let Some(frame_end) = payload_end.checked_add(8) else {
-        return Some(Err(()));
-    };
-    if frame_end > bytes.len() {
-        return Some(Err(()));
-    }
-    let payload = &bytes[header_end..payload_end];
-    let sum = u64::from_le_bytes(bytes[payload_end..frame_end].try_into().unwrap());
-    if fnv_fold_bytes(FNV_OFFSET, payload) != sum {
-        return Some(Err(()));
-    }
-    match dec_record(payload) {
-        Ok(rec) => Some(Ok((rec, frame_end))),
-        Err(_) => Some(Err(())),
-    }
+/// Decode the record at the front of `bytes`, returning it and the bytes
+/// after it. `None` ends the valid prefix: clean EOF, or a torn or corrupt
+/// tail (the caller truncates there).
+fn read_one(bytes: &[u8]) -> Option<(Record, &[u8])> {
+    let (payload, rest) = frame::split_section(bytes).ok()?;
+    Some((dec_record(payload).ok()?, rest))
 }
 
 #[cfg(test)]

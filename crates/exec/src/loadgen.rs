@@ -344,14 +344,12 @@ fn write_series(
             ]),
         ),
     ]);
-    let tmp = opts.out.with_extension("json.tmp");
-    let mut f =
-        std::fs::File::create(&tmp).map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-    writeln!(f, "{doc}").map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    f.sync_all().ok();
-    drop(f);
-    std::fs::rename(&tmp, &opts.out).map_err(|e| format!("cannot move series into place: {e}"))?;
-    Ok(())
+    gcl_mem::frame::publish(&opts.out, |f| {
+        writeln!(f, "{doc}")?;
+        f.sync_all().ok();
+        Ok(())
+    })
+    .map_err(|e| format!("cannot write series {}: {e}", opts.out.display()))
 }
 
 /// Read back a series document produced by a loadgen (or soak) run.

@@ -415,14 +415,12 @@ fn write_report(opts: &SoakOptions, report: &SoakReport) -> Result<(), String> {
         ("rebalances", Json::UInt(report.rebalances)),
         ("resumed", Json::UInt(report.resumed)),
     ]);
-    let tmp = opts.out.with_extension("json.tmp");
-    let mut f =
-        std::fs::File::create(&tmp).map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-    writeln!(f, "{doc}").map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    f.sync_all().ok();
-    drop(f);
-    std::fs::rename(&tmp, &opts.out).map_err(|e| format!("cannot move report into place: {e}"))?;
-    Ok(())
+    gcl_mem::frame::publish(&opts.out, |f| {
+        writeln!(f, "{doc}")?;
+        f.sync_all().ok();
+        Ok(())
+    })
+    .map_err(|e| format!("cannot write report {}: {e}", opts.out.display()))
 }
 
 /// Run one soak session: spawn the fleet, drive traffic (optionally under

@@ -30,6 +30,7 @@
 mod addrmap;
 mod cache;
 mod dram;
+pub mod frame;
 mod icnt;
 mod l2;
 mod mshr;

@@ -2,30 +2,26 @@
 //! / [`Gpu::restore`](crate::Gpu::restore).
 //!
 //! A snapshot is a compact binary image of the complete simulator state —
-//! idle or mid-launch — wrapped in a self-validating container:
+//! idle or mid-launch — in a single-payload [`gcl_mem::frame`] container:
+//! magic `GCLSNAP1`, [`SNAPSHOT_VERSION`], the configuration fingerprint
+//! (FNV-1a over the `GpuConfig` Debug form) as the header tag, the
+//! wire-encoded simulator state as the payload, and the whole-file seal.
 //!
-//! ```text
-//! magic "GCLSNAP1"  (8 bytes)
-//! version           (u32 LE)
-//! config fingerprint(u64 LE, FNV-1a over the GpuConfig Debug form)
-//! payload length    (u64 LE)
-//! payload           (the wire-encoded simulator state)
-//! checksum          (u64 LE, FNV-1a over all preceding bytes)
-//! ```
-//!
-//! [`Snapshot::from_bytes`] rejects truncated images, bad magic, checksum
-//! mismatches (any flipped byte), and unknown versions; [`Gpu::restore`]
-//! additionally rejects snapshots taken under a different configuration and
-//! decodes the payload into temporaries before touching any live state, so
-//! a rejected restore never leaves the GPU corrupted.
+//! [`Snapshot::from_bytes`] rejects bad magic, truncated images, unknown
+//! versions and checksum mismatches (any flipped byte), in that order;
+//! [`Gpu::restore`] additionally rejects snapshots taken under a different
+//! configuration and decodes the payload into temporaries before touching
+//! any live state, so a rejected restore never leaves the GPU corrupted.
 //!
 //! [`Gpu::snapshot`]: crate::Gpu::snapshot
 //! [`Gpu::restore`]: crate::Gpu::restore
 
 use crate::san::{fnv_fold_bytes, FNV_OFFSET};
 use crate::GpuConfig;
+use gcl_mem::frame::{self, FrameError};
 use gcl_ptx::Kernel;
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 
 /// Leading magic of every checkpoint file.
@@ -111,6 +107,19 @@ impl From<gcl_mem::WireError> for CheckpointError {
     }
 }
 
+impl From<FrameError> for CheckpointError {
+    fn from(e: FrameError) -> CheckpointError {
+        use {CheckpointError as C, FrameError as F};
+        match e {
+            F::BadMagic => C::BadMagic,
+            F::Truncated => C::Truncated,
+            F::VersionMismatch { found, expected } => C::VersionMismatch { found, expected },
+            F::ChecksumMismatch | F::SectionChecksumMismatch => C::ChecksumMismatch,
+            F::Malformed(what) => C::Malformed(what),
+        }
+    }
+}
+
 /// Fingerprint of a GPU configuration (FNV-1a over its `Debug` form).
 /// Stored in every snapshot; restore requires an exact match.
 pub fn config_fingerprint(cfg: &GpuConfig) -> u64 {
@@ -138,18 +147,9 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serialize to the on-disk container format (magic, version,
-    /// fingerprint, length-prefixed payload, trailing checksum).
+    /// Serialize to the on-disk container format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload.len() + 36);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.config_fp.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let sum = fnv_fold_bytes(FNV_OFFSET, &out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        frame::seal_payload(&SNAPSHOT_MAGIC, self.version, self.config_fp, &self.payload)
     }
 
     /// Parse a container written by [`to_bytes`](Self::to_bytes).
@@ -157,65 +157,28 @@ impl Snapshot {
     /// # Errors
     ///
     /// [`CheckpointError::BadMagic`], [`CheckpointError::Truncated`],
-    /// [`CheckpointError::ChecksumMismatch`] (any corrupted byte), or
-    /// [`CheckpointError::VersionMismatch`].
+    /// [`CheckpointError::VersionMismatch`], or
+    /// [`CheckpointError::ChecksumMismatch`] (any other corrupted byte).
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, CheckpointError> {
-        const HEADER: usize = 8 + 4 + 8 + 8;
-        if bytes.len() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        if bytes[..8] != SNAPSHOT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        if bytes.len() < HEADER + 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let stored_sum = u64::from_le_bytes(sum_bytes.try_into().expect("8-byte split"));
-        if fnv_fold_bytes(FNV_OFFSET, body) != stored_sum {
-            // Distinguish a clean truncation (payload shorter than declared)
-            // from in-place corruption: peek at the declared length first.
-            let declared =
-                u64::from_le_bytes(bytes[20..28].try_into().expect("header slice")) as usize;
-            if body.len() - HEADER < declared {
-                return Err(CheckpointError::Truncated);
-            }
-            return Err(CheckpointError::ChecksumMismatch);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("header slice"));
-        if version != SNAPSHOT_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        let config_fp = u64::from_le_bytes(bytes[12..20].try_into().expect("header slice"));
-        let payload_len =
-            u64::from_le_bytes(bytes[20..28].try_into().expect("header slice")) as usize;
-        let payload = &body[HEADER..];
-        if payload.len() != payload_len {
-            return Err(CheckpointError::Malformed("payload length mismatch"));
-        }
+        let (config_fp, payload) = frame::open_payload(bytes, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
         Ok(Snapshot {
-            version,
+            version: SNAPSHOT_VERSION,
             config_fp,
             payload: payload.to_vec(),
         })
     }
 
-    /// Write the container to a file (atomically: a temp file in the same
-    /// directory is renamed over the target, so a crash mid-write never
-    /// leaves a half-written checkpoint under the final name).
+    /// Write the container to a file atomically ([`frame::publish`]): a
+    /// crash mid-write never leaves a half-written checkpoint under the
+    /// final name, and no other file is touched.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] with the underlying error's message.
     pub fn write_file(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         let path = path.as_ref();
-        let io = |e: std::io::Error| CheckpointError::Io(format!("{}: {e}", path.display()));
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_bytes()).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+        frame::publish(path, |f| f.write_all(&self.to_bytes()))
+            .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))
     }
 
     /// Read and parse a container from a file.

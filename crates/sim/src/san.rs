@@ -31,27 +31,7 @@ use crate::fault::MemFaultReport;
 use gcl_mem::{ConservationReport, Dec, Enc, RequestLedger, WireError};
 use std::fmt;
 
-/// FNV-1a offset basis: the initial value of every determinism digest.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold one 64-bit value into an FNV-1a digest (little-endian bytes).
-pub fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Fold a byte slice into an FNV-1a digest (checkpoint checksums and
-/// config/kernel fingerprints).
-pub fn fnv_fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+pub use gcl_mem::frame::{fnv_fold, fnv_fold_bytes, FNV_OFFSET};
 
 /// One side of a shared-memory race: who touched the bytes, from where.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -413,3 +413,31 @@ fn hang_watchdog_dumps_restorable_snapshot() {
         other => panic!("restored deadlock must hang again, got {other:?}"),
     }
 }
+
+/// Publishing a checkpoint goes through a temp file unique to the writer,
+/// so an unrelated `<stem>.tmp` beside the checkpoint survives untouched
+/// and no temp file is left behind.
+#[test]
+fn checkpoint_write_leaves_sibling_tmp_untouched() {
+    let dir = std::env::temp_dir().join(format!("gcl-ckpt-sibling-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sentinel = dir.join("h.tmp");
+    let sentinel_bytes = b"not a checkpoint: owned by someone else\n".to_vec();
+    std::fs::write(&sentinel, &sentinel_bytes).unwrap();
+
+    let (gpu, _, _) = setup(san_cfg());
+    let snap = gpu.snapshot();
+    let ckpt = dir.join("h.ckpt");
+    snap.write_file(&ckpt).unwrap();
+    snap.write_file(&ckpt).unwrap();
+
+    assert_eq!(std::fs::read(&sentinel).unwrap(), sentinel_bytes);
+    assert_eq!(Snapshot::read_file(&ckpt).unwrap(), snap);
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["h.ckpt", "h.tmp"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

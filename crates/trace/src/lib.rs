@@ -11,22 +11,10 @@
 //!
 //! ## File layout
 //!
-//! ```text
-//! [0..8)    magic "GCLTRACE"
-//! [8..12)   format version, u32 LE (currently 1)
-//! [12..20)  config fingerprint of the capturing GPU, u64 LE
-//! [20..28)  launch count, u64 LE
-//! then per launch (a *section*):
-//!   [8]     payload length, u64 LE
-//!   [..]    payload (wire-encoded, see below)
-//!   [8]     FNV-1a checksum of the payload, u64 LE
-//! trailing:
-//!   [8]     FNV-1a checksum of every preceding byte, u64 LE
-//! ```
-//!
-//! Every length is validated against the remaining input before use, both
-//! checksum layers must verify, and the format version is checked by exact
-//! equality — a truncated, bit-flipped, or version-skewed file fails with a
+//! A [`gcl_mem::frame`] container: magic `GCLTRACE`, [`TRACE_VERSION`],
+//! the capturing GPU's config fingerprint as the header tag and the launch
+//! count as the header word, one section per launch, and the whole-file
+//! seal. A truncated, bit-flipped, or version-skewed file fails with a
 //! structured [`TraceError`], never silently.
 //!
 //! ## Launch payload
@@ -53,6 +41,7 @@ mod writer;
 pub use reader::{parse_trace, read_trace, TraceFile, TraceLaunch};
 pub use writer::{TraceSummary, TraceWriter};
 
+use gcl_mem::frame::FrameError;
 use gcl_mem::WireError;
 use std::fmt;
 
@@ -118,6 +107,22 @@ impl std::error::Error for TraceError {
 impl From<std::io::Error> for TraceError {
     fn from(e: std::io::Error) -> TraceError {
         TraceError::Io(e)
+    }
+}
+
+impl From<FrameError> for TraceError {
+    fn from(e: FrameError) -> TraceError {
+        use {FrameError as F, TraceError as T};
+        match e {
+            F::BadMagic => T::BadMagic,
+            F::Truncated => T::Truncated,
+            F::VersionMismatch { found, expected } => T::VersionMismatch { found, expected },
+            F::ChecksumMismatch => T::ChecksumMismatch { what: "file" },
+            F::SectionChecksumMismatch => T::ChecksumMismatch {
+                what: "launch section",
+            },
+            F::Malformed(what) => T::Malformed(what),
+        }
     }
 }
 

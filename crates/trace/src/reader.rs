@@ -1,11 +1,12 @@
 //! Trace container reading: full structural validation — magic, version,
-//! whole-file checksum, per-section checksums, and every column decoded and
-//! bounds-checked — before any launch is handed to replay.
+//! whole-file checksum, per-section checksums (all via [`gcl_mem::frame`]),
+//! and every column decoded and bounds-checked — before any launch is
+//! handed to replay.
 
 use crate::codec::decode_stream;
 use crate::{TraceError, TRACE_MAGIC, TRACE_VERSION};
-use gcl_mem::Dec;
-use gcl_sim::{fnv_fold_bytes, Dim3, LaunchReplay, FNV_OFFSET};
+use gcl_mem::{frame, Dec};
+use gcl_sim::{Dim3, LaunchReplay};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -59,61 +60,20 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<TraceFile, TraceError> {
 /// * [`TraceError::ChecksumMismatch`] — file or section checksum failed.
 /// * [`TraceError::Malformed`] — a structural invariant did not hold.
 pub fn parse_trace(bytes: &[u8]) -> Result<TraceFile, TraceError> {
-    if bytes.len() < 8 {
-        return Err(TraceError::Truncated);
-    }
-    if bytes[..8] != TRACE_MAGIC {
-        return Err(TraceError::BadMagic);
-    }
-    // Header + trailing checksum. Version is checked before the checksum so
-    // a future-format file reports the version skew, not a checksum error.
-    const HEADER: usize = 8 + 4 + 8 + 8;
-    if bytes.len() < HEADER + 8 {
-        return Err(TraceError::Truncated);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("header slice"));
-    if version != TRACE_VERSION {
-        return Err(TraceError::VersionMismatch {
-            found: version,
-            expected: TRACE_VERSION,
-        });
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let declared = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("tail slice"));
-    let file_fp = fnv_fold_bytes(FNV_OFFSET, body);
-    if declared != file_fp {
-        return Err(TraceError::ChecksumMismatch { what: "file" });
-    }
-    let config_fp = u64::from_le_bytes(bytes[12..20].try_into().expect("header slice"));
-    let n_launches = u64::from_le_bytes(bytes[20..28].try_into().expect("header slice"));
-    let mut rest = &body[HEADER..];
+    let container = frame::open(bytes, &TRACE_MAGIC, TRACE_VERSION)?;
+    let mut rest = container.body;
     let mut launches = Vec::new();
-    for _ in 0..n_launches {
-        if rest.len() < 8 {
-            return Err(TraceError::Truncated);
-        }
-        let len = u64::from_le_bytes(rest[..8].try_into().expect("section slice"));
-        let len = usize::try_from(len).map_err(|_| TraceError::Malformed("section length"))?;
-        rest = &rest[8..];
-        if rest.len() < len + 8 {
-            return Err(TraceError::Truncated);
-        }
-        let payload = &rest[..len];
-        let declared = u64::from_le_bytes(rest[len..len + 8].try_into().expect("section slice"));
-        if fnv_fold_bytes(FNV_OFFSET, payload) != declared {
-            return Err(TraceError::ChecksumMismatch {
-                what: "launch section",
-            });
-        }
-        rest = &rest[len + 8..];
+    for _ in 0..container.word {
+        let (payload, tail) = frame::split_section(rest)?;
+        rest = tail;
         launches.push(decode_launch(payload)?);
     }
     if !rest.is_empty() {
         return Err(TraceError::Malformed("trailing bytes after last section"));
     }
     Ok(TraceFile {
-        config_fp,
-        file_fp,
+        config_fp: container.tag,
+        file_fp: container.seal,
         launches,
     })
 }

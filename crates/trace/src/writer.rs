@@ -6,8 +6,9 @@
 
 use crate::codec::{encode_record, ColBufs, ColState};
 use crate::{TraceError, TRACE_MAGIC, TRACE_VERSION};
+use gcl_mem::frame;
 use gcl_mem::Enc;
-use gcl_sim::{fnv_fold_bytes, LaunchInfo, ReplayKind, TraceEvent, TraceSink, FNV_OFFSET};
+use gcl_sim::{LaunchInfo, ReplayKind, TraceEvent, TraceSink};
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -220,12 +221,8 @@ impl TraceWriter {
                 }
             }
         }
-        let payload = e.into_bytes();
-        let fp = fnv_fold_bytes(FNV_OFFSET, &payload);
         let sections = self.sections.as_mut().expect("sections live until finish");
-        sections.write_all(&(payload.len() as u64).to_le_bytes())?;
-        sections.write_all(&payload)?;
-        sections.write_all(&fp.to_le_bytes())?;
+        frame::write_section(sections, &e.into_bytes())?;
         self.launches += 1;
         self.records += cur.totals.iter().sum::<u64>();
         Ok(())
@@ -253,19 +250,6 @@ impl TraceWriter {
         if let Some(e) = self.err.take() {
             return Err(TraceError::Io(e));
         }
-        let tmp_path = scratch_path(&self.out_path, "tmp");
-        let mut out = BufWriter::new(File::create(&tmp_path)?);
-        let mut fp = FNV_OFFSET;
-        let mut bytes: u64 = 0;
-        let mut put = |out: &mut BufWriter<File>, b: &[u8]| -> std::io::Result<()> {
-            fp = fnv_fold_bytes(fp, b);
-            bytes += b.len() as u64;
-            out.write_all(b)
-        };
-        put(&mut out, &TRACE_MAGIC)?;
-        put(&mut out, &TRACE_VERSION.to_le_bytes())?;
-        put(&mut out, &self.config_fp.to_le_bytes())?;
-        put(&mut out, &self.launches.to_le_bytes())?;
         let mut sections = self
             .sections
             .take()
@@ -274,22 +258,14 @@ impl TraceWriter {
             .map_err(|e| TraceError::Io(e.into_error()))?;
         sections.flush()?;
         sections.seek(SeekFrom::Start(0))?;
-        let mut chunk = vec![0u8; 1 << 16];
-        loop {
-            let n = sections.read(&mut chunk)?;
-            if n == 0 {
-                break;
-            }
-            put(&mut out, &chunk[..n])?;
-        }
+        let header = frame::header(&TRACE_MAGIC, TRACE_VERSION, self.config_fp, self.launches);
+        let (file_fp, bytes) = frame::publish(&self.out_path, |file| {
+            let mut out = BufWriter::new(file);
+            let sealed = frame::write_sealed(&mut out, &header, &mut sections)?;
+            out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+            Ok(sealed)
+        })?;
         drop(sections);
-        let file_fp = fp;
-        out.write_all(&file_fp.to_le_bytes())?;
-        bytes += 8;
-        out.into_inner()
-            .map_err(|e| TraceError::Io(e.into_error()))?
-            .sync_all()?;
-        std::fs::rename(&tmp_path, &self.out_path)?;
         let _ = std::fs::remove_file(&self.sections_path);
         Ok(TraceSummary {
             path: self.out_path.clone(),

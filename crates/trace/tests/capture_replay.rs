@@ -209,6 +209,28 @@ fn corruption_matrix_fails_structured() {
     }
 }
 
+/// Corruption matrix, crafted section length: a container whose only
+/// section declares a length near `u64::MAX` (file checksum recomputed so
+/// only the section is wrong) fails structured instead of overflowing the
+/// section arithmetic.
+#[test]
+fn crafted_section_length_fails_structured() {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&gcl_trace::TRACE_MAGIC);
+    bytes.extend_from_slice(&TRACE_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&config_fingerprint(&san_cfg()).to_le_bytes());
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&(u64::MAX - 3).to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    let fp = gcl_sim::fnv_fold_bytes(gcl_sim::FNV_OFFSET, &bytes);
+    bytes.extend_from_slice(&fp.to_le_bytes());
+    assert_eq!(bytes.len(), 52);
+    match parse_trace(&bytes) {
+        Err(TraceError::Truncated | TraceError::Malformed(_)) => {}
+        other => panic!("crafted section length gave {other:?}"),
+    }
+}
+
 /// An aborted launch (fault mid-run) is discarded from the container and
 /// the writer stays usable for subsequent launches.
 #[test]

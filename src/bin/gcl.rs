@@ -809,12 +809,11 @@ impl Manifest {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         }
-        // Write-then-rename: a suite killed mid-save never leaves a torn
+        // Atomic publish: a suite killed mid-save never leaves a torn
         // manifest under the final name.
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json().render_pretty())
-            .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path).map_err(|e| format!("cannot rename {}: {e}", tmp.display()))
+        let text = self.to_json().render_pretty();
+        gcl::mem::frame::publish(path, |f| std::io::Write::write_all(f, text.as_bytes()))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))
     }
 
     fn load(path: &Path) -> Result<Manifest, String> {
