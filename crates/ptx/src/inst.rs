@@ -518,49 +518,28 @@ impl Op {
         }
     }
 
+    /// Call `f` on every register read by this instruction, in operand
+    /// order (excluding the guard predicate, which lives on
+    /// [`Instruction`]). Allocation-free; [`Op::src_regs`] collects it.
+    pub fn for_each_src_reg(&self, f: impl FnMut(Reg)) {
+        let regs: [Option<Reg>; 3] = match *self {
+            Op::Ld { addr, .. } => [addr.base, None, None],
+            Op::St { addr, src, .. } | Op::Atom { addr, src, .. } => [addr.base, src.reg(), None],
+            Op::Mov { src, .. } | Op::Cvt { src, .. } => [src.reg(), None, None],
+            Op::Unary { a, .. } | Op::Sfu { a, .. } => [a.reg(), None, None],
+            Op::Alu { a, b, .. } | Op::Setp { a, b, .. } => [a.reg(), b.reg(), None],
+            Op::Mad { a, b, c, .. } => [a.reg(), b.reg(), c.reg()],
+            Op::Selp { a, b, pred, .. } => [a.reg(), b.reg(), Some(pred)],
+            Op::Bra { .. } | Op::Bar { .. } | Op::Exit => [None; 3],
+        };
+        regs.into_iter().flatten().for_each(f);
+    }
+
     /// All registers read by this instruction (excluding the guard predicate,
     /// which lives on [`Instruction`]).
     pub fn src_regs(&self) -> Vec<Reg> {
-        fn push_op(out: &mut Vec<Reg>, o: &Operand) {
-            if let Operand::Reg(r) = o {
-                out.push(*r);
-            }
-        }
-        fn push_addr(out: &mut Vec<Reg>, a: &Address) {
-            if let Some(r) = a.base {
-                out.push(r);
-            }
-        }
         let mut out = Vec::with_capacity(3);
-        match self {
-            Op::Ld { addr, .. } => push_addr(&mut out, addr),
-            Op::St { addr, src, .. } => {
-                push_addr(&mut out, addr);
-                push_op(&mut out, src);
-            }
-            Op::Mov { src, .. } | Op::Cvt { src, .. } => push_op(&mut out, src),
-            Op::Unary { a, .. } => push_op(&mut out, a),
-            Op::Alu { a, b, .. } | Op::Setp { a, b, .. } => {
-                push_op(&mut out, a);
-                push_op(&mut out, b);
-            }
-            Op::Mad { a, b, c, .. } => {
-                push_op(&mut out, a);
-                push_op(&mut out, b);
-                push_op(&mut out, c);
-            }
-            Op::Sfu { a, .. } => push_op(&mut out, a),
-            Op::Selp { a, b, pred, .. } => {
-                push_op(&mut out, a);
-                push_op(&mut out, b);
-                out.push(*pred);
-            }
-            Op::Atom { addr, src, .. } => {
-                push_addr(&mut out, addr);
-                push_op(&mut out, src);
-            }
-            Op::Bra { .. } | Op::Bar { .. } | Op::Exit => {}
-        }
+        self.for_each_src_reg(|r| out.push(r));
         out
     }
 

@@ -60,7 +60,7 @@ pub enum WarpSchedPolicy {
 pub struct GpuConfig {
     /// Number of SMs (paper: 14).
     pub n_sms: usize,
-    /// Threads per warp (paper: 32).
+    /// Threads per warp (paper: 32; at most 32, the width of a lane mask).
     pub warp_size: u32,
     /// Max resident threads per SM (paper: 1536).
     pub max_threads_per_sm: u32,
@@ -202,10 +202,14 @@ impl GpuConfig {
         if self.n_sms == 0 {
             return err("n_sms", "need at least one SM");
         }
-        if self.warp_size == 0 || self.warp_size > 64 {
+        if self.warp_size == 0 || self.warp_size > u32::BITS {
             return err(
                 "warp_size",
-                format!("warp size must be 1..=64, got {}", self.warp_size),
+                format!(
+                    "warp size must be 1..={} (lane masks are 32-bit), got {}",
+                    u32::BITS,
+                    self.warp_size
+                ),
             );
         }
         if self.max_threads_per_sm < self.warp_size {
@@ -309,6 +313,19 @@ mod tests {
         let e = c.validate().unwrap_err();
         assert_eq!(e.field, "n_sms");
         assert!(e.to_string().contains("at least one SM"), "{e}");
+    }
+
+    #[test]
+    fn warp_size_bounded_by_lane_mask_width() {
+        let mut c = GpuConfig::fermi();
+        c.warp_size = 64;
+        let e = c.validate().unwrap_err();
+        assert_eq!(e.field, "warp_size");
+        assert!(e.to_string().contains("lane masks are 32-bit"), "{e}");
+        c.warp_size = 33;
+        assert_eq!(c.validate().unwrap_err().field, "warp_size");
+        c.warp_size = 32;
+        c.validate().expect("32-lane warps fit the lane mask");
     }
 
     #[test]

@@ -140,22 +140,43 @@ impl GlobalMem {
         p[(addr as usize) & (PAGE_SIZE - 1)] = v;
     }
 
-    /// Read `n` bytes little-endian into a u64 (n ≤ 8).
+    /// Read `n` bytes little-endian into a u64 (n ≤ 8). One page lookup
+    /// unless the access straddles a page boundary.
     pub fn read_le(&self, addr: u64, n: u32) -> u64 {
         debug_assert!(n <= 8);
-        let mut v = 0u64;
-        for i in 0..u64::from(n) {
-            v |= u64::from(self.read_u8(addr + i)) << (8 * i);
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        let n = n as usize;
+        if off + n > PAGE_SIZE {
+            return (0..n).fold(0, |v, i| {
+                v | u64::from(self.read_u8(addr + i as u64)) << (8 * i)
+            });
         }
-        v
+        let Some(page) = self.pages.get(&(addr >> PAGE_SHIFT)) else {
+            return 0;
+        };
+        let mut buf = [0u8; 8];
+        buf[..n].copy_from_slice(&page[off..off + n]);
+        u64::from_le_bytes(buf)
     }
 
-    /// Write the low `n` bytes of `v` little-endian (n ≤ 8).
+    /// Write the low `n` bytes of `v` little-endian (n ≤ 8). One page
+    /// lookup unless the access straddles a page boundary.
     pub fn write_le(&mut self, addr: u64, n: u32, v: u64) {
         debug_assert!(n <= 8);
-        for i in 0..u64::from(n) {
-            self.write_u8(addr + i, (v >> (8 * i)) as u8);
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        let n = n as usize;
+        // The byte loop also keeps a zero-length write from creating a page.
+        if off + n > PAGE_SIZE || n == 0 {
+            for i in 0..n {
+                self.write_u8(addr + i as u64, (v >> (8 * i)) as u8);
+            }
+            return;
         }
+        let page = self
+            .pages
+            .entry(addr >> PAGE_SHIFT)
+            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+        page[off..off + n].copy_from_slice(&v.to_le_bytes()[..n]);
     }
 
     /// Read a typed scalar as raw bits (sign/float interpretation is the
@@ -269,6 +290,24 @@ mod tests {
         mem.write_le(addr, 8, 0x1122_3344_5566_7788);
         assert_eq!(mem.read_le(addr, 8), 0x1122_3344_5566_7788);
         assert_eq!(mem.resident_pages(), 2);
+    }
+
+    #[test]
+    fn page_straddling_round_trips_and_untouched_pages_read_zero() {
+        let addr = PAGE_SIZE as u64 - 2;
+        for (n, v) in [(4, 0xA1B2_C3D4), (8, 0x0102_0304_0506_0708)] {
+            let mut mem = GlobalMem::new();
+            mem.write_le(addr, n, v);
+            assert_eq!(mem.read_le(addr, n), v, "{n}-byte value");
+            assert_eq!(mem.resident_pages(), 2);
+            assert_eq!(mem.read_le(addr - 8, 8), 0, "bytes below untouched");
+        }
+        let mut mem = GlobalMem::new();
+        mem.write_le(0, 4, 0xFFFF_FFFF);
+        assert_eq!(mem.read_le(3 * PAGE_SIZE as u64 + 16, 8), 0);
+        assert_eq!(mem.read_le(PAGE_SIZE as u64 - 1, 2), 0);
+        mem.write_le(5 * PAGE_SIZE as u64, 0, u64::MAX);
+        assert_eq!(mem.resident_pages(), 1);
     }
 
     #[test]

@@ -724,7 +724,7 @@ impl Gpu {
                 self.restore(&snap)?;
             }
         }
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         {
             let Some(active) = self.active.as_mut() else {
                 return Err(SimError::Checkpoint(CheckpointError::Malformed(
@@ -814,7 +814,7 @@ impl Gpu {
                 };
                 if let Some(cta) = next {
                     let (x, y, z) = grid.coords(cta);
-                    sm.dispatch_cta(cta, (x, y, z), block, &cfg, kernel, replay);
+                    sm.dispatch_cta(cta, (x, y, z), block, cfg, kernel, replay);
                     progress = true;
                 }
             }
@@ -832,7 +832,7 @@ impl Gpu {
                     icnt: &mut self.icnt,
                     addrmap: &derived.addrmap,
                     blocktrack: &mut self.blocktrack,
-                    cfg: &cfg,
+                    cfg,
                     ntid: block,
                     nctaid: grid,
                     trace,

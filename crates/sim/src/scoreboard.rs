@@ -28,14 +28,14 @@ impl Scoreboard {
         self.pending[warp][i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Whether `inst` can issue for `warp` (no RAW/WAW hazards pending).
+    /// Whether `inst` can issue for `warp` (no RAW/WAW hazards pending on
+    /// its destination, its sources or its guard predicate). Allocation-free:
+    /// this runs for every candidate warp of every scheduler every cycle.
     pub fn can_issue(&self, warp: usize, inst: &Instruction) -> bool {
-        if let Some(d) = inst.dst_reg() {
-            if self.bit(warp, d) {
-                return false;
-            }
-        }
-        inst.src_regs().iter().all(|r| !self.bit(warp, *r))
+        let mut clear = inst.dst_reg().is_none_or(|d| !self.bit(warp, d))
+            && inst.guard.is_none_or(|g| !self.bit(warp, g.pred));
+        inst.op.for_each_src_reg(|r| clear &= !self.bit(warp, r));
+        clear
     }
 
     /// Mark `reg` as having a write in flight for `warp`.
@@ -89,7 +89,7 @@ impl Scoreboard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcl_ptx::{AluOp, Instruction, Op, Operand, Type};
+    use gcl_ptx::{AluOp, Guard, Instruction, Op, Operand, Type};
 
     fn add(dst: u32, a: u32, b: u32) -> Instruction {
         Instruction::new(Op::Alu {
@@ -119,6 +119,22 @@ mod tests {
         let mut sb = Scoreboard::new(1, 8);
         sb.reserve(0, Reg(2));
         assert!(!sb.can_issue(0, &add(2, 0, 1)));
+    }
+
+    #[test]
+    fn pending_guard_predicate_blocks_issue() {
+        let mut sb = Scoreboard::new(1, 8);
+        let inst = Instruction::guarded(
+            Guard {
+                pred: Reg(7),
+                negate: true,
+            },
+            add(2, 0, 1).op,
+        );
+        assert!(sb.can_issue(0, &inst));
+        sb.reserve(0, Reg(7));
+        assert!(!sb.can_issue(0, &inst));
+        assert!(sb.can_issue(0, &add(2, 0, 1)));
     }
 
     #[test]

@@ -250,13 +250,20 @@ impl Sm {
         self.cta_slots.iter().any(Option::is_none)
     }
 
-    /// Whether this SM has any resident work.
-    pub fn is_idle(&self) -> bool {
+    /// Whether the SM pipeline has nothing to do this cycle but accept
+    /// responses and drain L1 misses: no CTA resident, an empty LD/ST queue,
+    /// no pending local completions and no pending writebacks. Unlike
+    /// [`is_idle`](Self::is_idle), L1 misses may still be in flight.
+    fn is_quiescent(&self) -> bool {
         self.cta_slots.iter().all(Option::is_none)
             && self.ldst_queue.is_empty()
             && self.local_done.is_empty()
             && self.writebacks.is_empty()
-            && self.l1.inflight() == 0
+    }
+
+    /// Whether this SM has any resident work.
+    pub fn is_idle(&self) -> bool {
+        self.is_quiescent() && self.l1.inflight() == 0
     }
 
     /// Assert that every per-launch structure has fully drained. Called on
@@ -377,6 +384,8 @@ impl Sm {
                 });
             }
             self.warps[slot] = Some(warp);
+            let n_sched = self.schedulers.len();
+            self.schedulers[slot % n_sched].admit(slot);
             self.warp_age[slot] = self.next_age;
             self.next_age += 1;
             self.pending_ops[slot] = 0;
@@ -415,6 +424,14 @@ impl Sm {
         let cycle = ctx.cycle;
         self.stats.cycles += 1;
         self.issued_mem_this_cycle = false;
+        if self.is_quiescent() {
+            // Nothing can issue, complete locally or retire: only fills and
+            // write responses arriving from the interconnect and L1 misses
+            // still queued for it (stores, prefetches) move.
+            let progress = self.process_responses(ctx)?;
+            self.drain_misses(ctx)?;
+            return Ok(progress);
+        }
         let mut progress = false;
 
         progress |= self.process_writebacks(cycle);
@@ -597,21 +614,16 @@ impl Sm {
     /// `(sp, sfu, any_issued)` flags for occupancy accounting and the hang
     /// watchdog.
     fn issue(&mut self, ctx: &mut TickCtx<'_>) -> Result<(bool, bool, bool), TickError> {
-        let n_sched = self.schedulers.len();
         let mut sp = false;
         let mut sfu = false;
         let mut any = false;
-        for s in 0..n_sched {
-            let candidates: Vec<usize> = (0..self.warps.len())
-                .filter(|slot| slot % n_sched == s && self.warps[*slot].is_some())
-                .collect();
+        for s in 0..self.schedulers.len() {
             let ldst_space = self.ldst_queue.len() < ctx.cfg.ldst_queue_len;
             let picked = {
                 let warps = &self.warps;
                 let sb = &self.scoreboard;
                 let kernel = ctx.kernel;
                 self.schedulers[s].pick(
-                    &candidates,
                     |slot| {
                         let Some(w) = warps[slot].as_ref() else {
                             return false;
@@ -1155,8 +1167,10 @@ impl Sm {
             });
             if done {
                 let cta = self.cta_slots[cta_idx].take().unwrap();
+                let n_sched = self.schedulers.len();
                 for slot in cta.warp_slots {
                     self.warps[slot] = None;
+                    self.schedulers[slot % n_sched].evict(slot);
                     self.scoreboard.clear(slot);
                 }
                 self.stats.ctas_retired += 1;
@@ -1365,9 +1379,12 @@ impl Sm {
             return Err(WireError::Malformed("shared-memory size mismatch"));
         }
         let scoreboard = Scoreboard::ckpt_decode(d)?;
-        let schedulers = d.seq(|d| WarpScheduler::ckpt_decode(d, cfg.warp_sched))?;
+        let mut schedulers = d.seq(|d| WarpScheduler::ckpt_decode(d, cfg.warp_sched))?;
         if schedulers.len() != cfg.n_schedulers {
             return Err(WireError::Malformed("scheduler count mismatch"));
+        }
+        for (slot, _) in warps.iter().enumerate().filter(|(_, w)| w.is_some()) {
+            schedulers[slot % cfg.n_schedulers].admit(slot);
         }
         let n_ldst = d.seq_len()?;
         let mut ldst_queue = VecDeque::with_capacity(n_ldst);

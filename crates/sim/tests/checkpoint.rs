@@ -441,3 +441,69 @@ fn checkpoint_write_leaves_sibling_tmp_untouched() {
     assert_eq!(names, ["h.ckpt", "h.tmp"]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// One SM holding more than 64 warps at once (128 warp slots, 64 CTA
+/// slots, three schedulers): the scheduler's resident-slot bookkeeping is
+/// rebuilt on restore rather than serialized, and must reproduce the
+/// uninterrupted run exactly when the snapshot is taken while warp slots
+/// above 63 are live.
+#[test]
+fn wide_sm_resume_selftest_is_digest_invisible() {
+    const THREADS: u32 = 4096;
+    let cfg = || {
+        let mut cfg = san_cfg();
+        cfg.n_sms = 1;
+        cfg.max_threads_per_sm = THREADS;
+        cfg.max_ctas_per_sm = 64;
+        cfg.n_schedulers = 3;
+        cfg
+    };
+    let kernel = workload();
+    let (grid, block) = (Dim3::x(THREADS / 64), Dim3::x(64));
+    let run = |selftest: Option<u64>| {
+        let mut gpu = Gpu::new(cfg()).unwrap();
+        let src = gpu.mem().alloc_array(Type::U32, u64::from(N)).unwrap();
+        let out = gpu
+            .mem()
+            .alloc_array(Type::U32, u64::from(THREADS))
+            .unwrap();
+        gpu.mem().write_u32_slice(
+            src,
+            &(0..N).map(|v| v.wrapping_mul(31) ^ 7).collect::<Vec<_>>(),
+        );
+        let params = pack_params(&kernel, &[src, out]);
+        gpu.set_resume_selftest(selftest);
+        let (stats, trace) = gpu
+            .launch_traced(&kernel, grid, block, &params, 1 << 20)
+            .unwrap();
+        assert_eq!(trace.dropped(), 0);
+        let image = gpu.mem().read_u32_slice(out, THREADS as usize);
+        (stats.digest.unwrap(), stats.cycles, image, trace)
+    };
+    let (ref_digest, ref_cycles, ref_image, trace) = run(None);
+    // Warp slots are filled lowest-free-first, so an instruction issued
+    // from slot 64 or above proves more than 64 warps were resident.
+    let wide_from = trace
+        .events()
+        .iter()
+        .filter(|e| e.warp_slot >= 64)
+        .map(|e| e.cycle)
+        .min()
+        .expect("no warp slot above 63 ever issued");
+    let wide_until = trace
+        .events()
+        .iter()
+        .filter(|e| e.warp_slot >= 64)
+        .map(|e| e.cycle)
+        .max()
+        .unwrap();
+    assert!(wide_from < wide_until, "{wide_from}..{wide_until}");
+    // The self-test fires before the step of its cycle, so the first
+    // cycle with slot 64 surely resident is the one after its first issue.
+    for off in [wide_from + 1, (wide_from + wide_until) / 2, wide_until] {
+        let (digest, cycles, image, _) = run(Some(off));
+        assert_eq!(digest, ref_digest, "digest, selftest at cycle {off}");
+        assert_eq!(cycles, ref_cycles, "cycles, selftest at cycle {off}");
+        assert_eq!(image, ref_image, "memory, selftest at cycle {off}");
+    }
+}

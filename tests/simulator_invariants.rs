@@ -170,3 +170,26 @@ fn oversized_cta_is_rejected() {
         "{err}"
     );
 }
+
+/// Every SM is accounted every cycle, busy or idle: merged per-SM cycles
+/// are exactly `n_sms × cycles` for each tiny Table I workload. This is the
+/// denominator of the Fig 4 unit-busy fractions, so an SM that sits with
+/// nothing resident must still count its cycles.
+#[test]
+fn every_sm_is_accounted_every_cycle() {
+    let cfg = GpuConfig::fermi();
+    let runs = gcl_bench::harness::run_all(&cfg, gcl_bench::harness::Scale::Tiny, 2);
+    assert_eq!(runs.len(), 15);
+    for run in &runs {
+        let stats = &run
+            .result()
+            .unwrap_or_else(|| panic!("{} failed", run.name))
+            .stats;
+        assert_eq!(
+            stats.sm.cycles,
+            cfg.n_sms as u64 * stats.cycles,
+            "{}: per-SM cycles vs n_sms × cycles",
+            run.name
+        );
+    }
+}
